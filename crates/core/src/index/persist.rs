@@ -23,6 +23,11 @@ use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"ESDX";
 const VERSION: u32 = 1;
+/// Most elements the decoder preallocates for any header count. The header
+/// is untrusted, so vectors start at most this large and grow only as
+/// their bytes actually arrive: a corrupt count costs an early `Err`, not
+/// an allocation sized by the lie.
+const PREALLOC_CAP: usize = 4096;
 
 /// Errors raised when loading a persisted index.
 #[derive(Debug)]
@@ -166,18 +171,18 @@ impl FrozenEsdIndex {
         }
         let num_lists = r.get_u64()? as usize;
         let num_entries = r.get_u64()? as usize;
-        // Arity guard before allocating (a corrupt header must not OOM us).
+        // Arity guard: counts no index can reach are rejected outright.
         if num_lists > (1 << 32) || num_entries > (1 << 40) {
             return Err(PersistError::Corrupt("implausible header counts"));
         }
-        let mut sizes = Vec::with_capacity(num_lists);
+        let mut sizes = Vec::with_capacity(num_lists.min(PREALLOC_CAP));
         for _ in 0..num_lists {
             sizes.push(r.get_u32()?);
         }
         if !sizes.windows(2).all(|w| w[0] < w[1]) {
             return Err(PersistError::Corrupt("C not strictly ascending"));
         }
-        let mut list_offsets = Vec::with_capacity(num_lists + 1);
+        let mut list_offsets = Vec::with_capacity(num_lists.min(PREALLOC_CAP) + 1);
         for _ in 0..=num_lists {
             list_offsets.push(r.get_u64()? as usize);
         }
@@ -188,7 +193,7 @@ impl FrozenEsdIndex {
         {
             return Err(PersistError::Corrupt("bad list offsets"));
         }
-        let mut entries = Vec::with_capacity(num_entries);
+        let mut entries = Vec::with_capacity(num_entries.min(PREALLOC_CAP));
         for _ in 0..num_entries {
             let u = r.get_u32()?;
             let v = r.get_u32()?;

@@ -47,6 +47,4 @@ pub(crate) mod sync;
 pub mod wal;
 
 pub use checkpoint::{CheckpointKind, CheckpointStore, LoadedCheckpoint};
-pub use wal::{
-    read_dir, repair_dir, sync_dir, WalMark, WalOptions, WalRecord, WalReplay, WalWriter,
-};
+pub use wal::{read_dir, repair_dir, WalMark, WalOptions, WalRecord, WalReplay, WalWriter};

@@ -159,7 +159,7 @@ fn open_dir(dir: &Path) -> io::Result<File> {
 /// Fsyncs the directory entry table so freshly created/renamed file names
 /// survive power loss. Best effort on platforms where directories cannot
 /// be opened; errors other than permission/unsupported are surfaced.
-pub fn sync_dir(dir: &Path) -> io::Result<()> {
+pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
     match open_dir(dir) {
         Ok(d) => d.sync_all(),
         Err(e) if e.kind() == io::ErrorKind::Unsupported => Ok(()),
@@ -587,6 +587,9 @@ fn read_segment(
     {
         return (false, 0);
     }
+    // A `len` claiming more than the segment has left is a tear, caught
+    // before its body is allocated (an unreadable length reads as 0: a tear).
+    let seg_len = file.metadata().map_or(0, |m| m.len());
     let mut valid_len = HEADER_LEN;
     loop {
         let mut prefix = [0u8; FRAME_PREFIX as usize];
@@ -597,7 +600,8 @@ fn read_segment(
         }
         let len = u32::from_le_bytes([prefix[0], prefix[1], prefix[2], prefix[3]]);
         let crc = u32::from_le_bytes([prefix[4], prefix[5], prefix[6], prefix[7]]);
-        if !(8..=MAX_FRAME_LEN).contains(&len) {
+        let left = seg_len.saturating_sub(valid_len + FRAME_PREFIX);
+        if !(8..=MAX_FRAME_LEN).contains(&len) || u64::from(len) > left {
             return (false, valid_len);
         }
         let mut body = vec![0u8; len as usize];

@@ -43,9 +43,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Length ratio above which galloping beats the linear merge. The default
 /// is the [`calibrate`] measurement from the development machine (16, with
-/// the 16–64 band within noise per the `micro` criterion bench); calling
-/// [`calibrate`] at startup replaces it with a value measured on the
-/// running machine via [`set_kernel_config`].
+/// the 16–64 band within noise; re-run it with the `calibrate` example);
+/// calling [`calibrate`] at startup replaces it with a value measured on
+/// the running machine via [`set_kernel_config`].
 pub const GALLOP_RATIO: usize = 16;
 
 /// Minimum shorter-list length before the bitset kernel is considered.

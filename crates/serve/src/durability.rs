@@ -249,7 +249,6 @@ pub fn recover_owned(
         replayed += 1;
         epoch = record.epoch;
     }
-    esd_telemetry::add(esd_telemetry::Metric::WalReplayedRecords, replayed);
     Ok(Some(Recovered {
         index,
         epoch,

@@ -7,8 +7,8 @@
 //!
 //! * A [`FaultPoint`] names each place the engine consults the injector —
 //!   snapshot publication, the writer's apply window, worker dequeue, the
-//!   result-cache lookup, ESDX persist I/O, and the durability subsystem's
-//!   WAL append, WAL fsync, and checkpoint write.
+//!   result-cache lookup, and the durability subsystem's WAL append, WAL
+//!   fsync, and checkpoint write.
 //! * A [`FaultPlan`] is a seeded list of [`FaultRule`]s: *at this point,
 //!   when this trigger matches, inject this fault*. Triggers are
 //!   deterministic functions of the per-point call number (and, for
@@ -41,8 +41,6 @@ pub enum FaultPoint {
     WorkerDequeue,
     /// Inside query execution, before the result-cache lookup.
     CacheLookup,
-    /// At the head of an ESDX snapshot persist, before any file is created.
-    PersistIo,
     /// In the durable commit path, before the window's WAL record is
     /// appended.
     WalAppend,
@@ -62,7 +60,6 @@ impl FaultPoint {
         FaultPoint::WriterApply,
         FaultPoint::WorkerDequeue,
         FaultPoint::CacheLookup,
-        FaultPoint::PersistIo,
         FaultPoint::WalAppend,
         FaultPoint::WalFsync,
         FaultPoint::CheckpointWrite,
@@ -79,7 +76,6 @@ impl FaultPoint {
             Self::WriterApply => "writer_apply",
             Self::WorkerDequeue => "worker_dequeue",
             Self::CacheLookup => "cache_lookup",
-            Self::PersistIo => "persist_io",
             Self::WalAppend => "wal_append",
             Self::WalFsync => "wal_fsync",
             Self::CheckpointWrite => "checkpoint_write",
@@ -95,8 +91,8 @@ impl FaultPoint {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// A synthetic `io::Error` (kind `Other`). The engine maps it to a
-    /// failed window / failed persist; clients see a clean error, never a
-    /// half-applied state.
+    /// failed window or a failed checkpoint; clients see a clean error,
+    /// never a half-applied state.
     IoError,
     /// The calling thread sleeps for the given duration, then proceeds
     /// normally — models slow disks and scheduling hiccups.
@@ -351,7 +347,7 @@ mod tests {
             Some(FaultKind::IoError)
         );
         // Unarmed points never fire.
-        assert_eq!(inj.fire(FaultPoint::PersistIo), None);
+        assert_eq!(inj.fire(FaultPoint::CheckpointWrite), None);
     }
 
     #[cfg(not(feature = "fault-injection"))]

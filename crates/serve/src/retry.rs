@@ -14,7 +14,7 @@
 //! client both route their requests through
 //! [`ServiceHandle::execute_with_retry`](crate::ServiceHandle::execute_with_retry) /
 //! [`submit_with_retry`](crate::ServiceHandle::submit_with_retry), which
-//! own the `serve.retries` accounting.
+//! own the `retries` accounting.
 
 use crate::faults::splitmix64;
 use std::time::Duration;

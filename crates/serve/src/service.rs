@@ -42,6 +42,12 @@ use esd_graph::Graph;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
+/// How many epochs of stale cached results publication retains for
+/// overload shedding: when the query queue refuses a request, the service
+/// may answer from a cached result up to this many epochs old instead of
+/// rejecting outright.
+const SHED_STALE_EPOCHS: u64 = 1;
+
 /// Tuning knobs for [`Service::start`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -58,12 +64,6 @@ pub struct ServiceConfig {
     /// runs (`apply_batch_parallel`); `1` keeps the recompute phase
     /// sequential.
     pub pipeline_threads: usize,
-    /// How many epochs of stale cached results publication retains for
-    /// overload shedding: when the query queue refuses a request, the
-    /// service may answer from a cached result up to this many epochs old
-    /// instead of rejecting outright. `0` disables stale serving (only
-    /// current-epoch cache hits can shed).
-    pub shed_stale_epochs: u64,
     /// Arms the durability subsystem (WAL + checkpoints + recovery on
     /// start). `None` (the default) serves purely in memory. When set and
     /// the directory already holds durable state, the **recovered** state
@@ -84,7 +84,6 @@ impl Default for ServiceConfig {
             cache_capacity: 4096,
             default_deadline: Some(Duration::from_secs(10)),
             pipeline_threads: 2,
-            shed_stale_epochs: 1,
             durability: None,
             ownership: EdgeOwnership::ALL,
         }
@@ -187,8 +186,8 @@ pub struct QueryResponse {
     /// Whether the answer came from the result cache.
     pub cache_hit: bool,
     /// `true` when overload shedding answered from a *stale* epoch's
-    /// cached result (always at most `shed_stale_epochs` behind). Normal
-    /// answers — including current-epoch shed hits — are not degraded.
+    /// cached result (at most one epoch behind). Normal answers —
+    /// including current-epoch shed hits — are not degraded.
     pub degraded: bool,
     /// Maximum per-shard staleness of the answer: how many epochs the most
     /// lagging component of [`QueryResponse::epochs`] trails the freshest
@@ -305,7 +304,6 @@ pub(crate) struct Engine {
     inline: bool,
     default_deadline: Option<Duration>,
     pipeline_threads: usize,
-    shed_stale_epochs: u64,
     faults: FaultInjector,
     /// Durable commit state (WAL + checkpoint store). Locked **after**
     /// `writer_index`, and only while holding it, so a window's
@@ -354,7 +352,6 @@ impl Engine {
             inline: cfg.workers == 0,
             default_deadline: cfg.default_deadline,
             pipeline_threads: cfg.pipeline_threads.max(1),
-            shed_stale_epochs: cfg.shed_stale_epochs,
             faults: FaultInjector::from_plan(plan),
             durable,
             recovery,
@@ -371,13 +368,12 @@ impl Engine {
     /// Consults the fault plan at `point`. Latency faults sleep here and
     /// return `Ok`; I/O faults return a synthetic error for the call site
     /// to surface; panic faults unwind so the surrounding containment can
-    /// prove it holds. Sole owner of the `faults_injected` counters.
+    /// prove it holds. Sole owner of the `faults_injected` counter.
     fn fault(&self, point: FaultPoint) -> std::io::Result<()> {
         let Some(kind) = self.faults.fire(point) else {
             return Ok(());
         };
         self.metrics.faults_injected.incr();
-        esd_telemetry::add(esd_telemetry::Metric::ServeFaultsInjected, 1);
         match kind {
             FaultKind::Latency(d) => {
                 crate::sync::thread::sleep(d);
@@ -389,12 +385,6 @@ impl Engine {
             ))),
             FaultKind::Panic => panic!("injected panic at {}", point.name()),
         }
-    }
-
-    /// Records one contained panic (worker or writer) in both registries.
-    fn note_contained_panic(&self) {
-        self.metrics.worker_restarts.incr();
-        esd_telemetry::add(esd_telemetry::Metric::ServeWorkerRestarts, 1);
     }
 
     fn effective_deadline(&self, deadline: Option<Instant>) -> Option<Instant> {
@@ -468,7 +458,7 @@ impl Engine {
         match result {
             Ok(response) => response,
             Err(_) => {
-                self.note_contained_panic();
+                self.metrics.worker_restarts.incr();
                 Err(ServeError::Internal(
                     "query worker panicked; worker restarted".into(),
                 ))
@@ -478,9 +468,9 @@ impl Engine {
 
     /// Overload shedding: when the queue refuses a query, try to answer
     /// from the cache instead — first at the current epoch, then from up
-    /// to `shed_stale_epochs` older epochs that publication retains for
+    /// to [`SHED_STALE_EPOCHS`] older epochs that publication retains for
     /// exactly this purpose. A slightly-stale answer beats an outright
-    /// rejection. Sole owner of the `shed` counters; shed answers are
+    /// rejection. Sole owner of the `shed` counter; shed answers are
     /// *not* counted as `queries_served`/`cache_hits` so throughput
     /// numbers stay honest.
     fn shed_query(
@@ -491,7 +481,7 @@ impl Engine {
         started: Instant,
     ) -> Option<QueryResponse> {
         let current = self.snapshot.load().epoch();
-        for back in 0..=self.shed_stale_epochs {
+        for back in 0..=SHED_STALE_EPOCHS {
             let Some(epoch) = current.checked_sub(back) else {
                 break;
             };
@@ -503,7 +493,6 @@ impl Engine {
             };
             if let Some(results) = self.cache.get(&key) {
                 self.metrics.shed.incr();
-                esd_telemetry::add(esd_telemetry::Metric::ServeShed, 1);
                 return Some(QueryResponse {
                     results,
                     family,
@@ -521,7 +510,7 @@ impl Engine {
 
     /// Publishes `index` as a new epoch and purges cache entries that are
     /// too old even for shedding (everything before `epoch −
-    /// shed_stale_epochs`). Call with the writer lock held so no competing
+    /// SHED_STALE_EPOCHS`). Call with the writer lock held so no competing
     /// publication can interleave. An injected fault here fails the whole
     /// window — the caller rolls back, so a failed publication is never
     /// half-visible.
@@ -540,7 +529,7 @@ impl Engine {
             families.clone(),
         )));
         self.cache
-            .purge_older_than(epoch.saturating_sub(self.shed_stale_epochs));
+            .purge_older_than(epoch.saturating_sub(SHED_STALE_EPOCHS));
         self.metrics.snapshots_published.incr();
         Ok(epoch)
     }
@@ -568,8 +557,6 @@ impl Engine {
         };
         self.metrics.wal_records.incr();
         self.metrics.wal_bytes.add(bytes);
-        esd_telemetry::add(esd_telemetry::Metric::WalRecords, 1);
-        esd_telemetry::add(esd_telemetry::Metric::WalBytes, bytes);
         let sync_now = match durable.policy {
             crate::durability::AckPolicy::Fsync => true,
             crate::durability::AckPolicy::Enqueue => {
@@ -581,7 +568,6 @@ impl Engine {
             self.fault(FaultPoint::WalFsync).map_err(internal)?;
             durable.wal.sync().map_err(internal)?;
             self.metrics.wal_fsyncs.incr();
-            esd_telemetry::add(esd_telemetry::Metric::WalFsyncs, 1);
         }
         Ok(())
     }
@@ -606,7 +592,6 @@ impl Engine {
         // counted — the record will not be replayed.
         let _ = durable.wal.truncate_to(mark);
         self.metrics.wal_truncations.incr();
-        esd_telemetry::add(esd_telemetry::Metric::WalTruncations, 1);
     }
 
     /// Checkpoint cadence: every `checkpoint_interval` publications, write
@@ -644,13 +629,11 @@ impl Engine {
                 // reconstruct the acked state.
                 durable.wal.purge_up_to(durable.prev_full_epoch)?;
                 self.metrics.ckpt_full.incr();
-                esd_telemetry::add(esd_telemetry::Metric::CkptFull, 1);
             } else {
                 durable
                     .ckpts
                     .write_delta(durable.base_epoch, epoch, &delta.encode())?;
                 self.metrics.ckpt_delta.incr();
-                esd_telemetry::add(esd_telemetry::Metric::CkptDelta, 1);
             }
             Ok(())
         }));
@@ -658,12 +641,10 @@ impl Engine {
             Ok(Ok(())) => durable.publications = 0,
             Ok(Err(_)) => {
                 self.metrics.ckpt_failures.incr();
-                esd_telemetry::add(esd_telemetry::Metric::CkptFailures, 1);
             }
             Err(_) => {
-                self.note_contained_panic();
+                self.metrics.worker_restarts.incr();
                 self.metrics.ckpt_failures.incr();
-                esd_telemetry::add(esd_telemetry::Metric::CkptFailures, 1);
             }
         }
     }
@@ -727,7 +708,7 @@ impl Engine {
                 Err(e)
             }
             Err(_) => {
-                self.note_contained_panic();
+                self.metrics.worker_restarts.incr();
                 let published = self.snapshot.load();
                 *index = published.index().clone();
                 *families = published.families().clone();
@@ -774,7 +755,6 @@ impl Engine {
             let d = durable.lock().unpoison();
             if d.wal.sync().is_ok() {
                 self.metrics.wal_fsyncs.incr();
-                esd_telemetry::add(esd_telemetry::Metric::WalFsyncs, 1);
             }
         }
     }
@@ -883,7 +863,7 @@ fn contained_thread_loop(engine: &Engine, body: fn(&Engine)) {
         if catch_unwind(AssertUnwindSafe(|| body(engine))).is_ok() {
             return; // clean shutdown
         }
-        engine.note_contained_panic();
+        engine.metrics.worker_restarts.incr();
     }
 }
 
@@ -1140,7 +1120,6 @@ impl ServiceHandle {
         match delays.next() {
             Some(d) => {
                 self.engine.metrics.retries.incr();
-                esd_telemetry::add(esd_telemetry::Metric::ServeRetries, 1);
                 crate::sync::thread::sleep(d);
                 true
             }
@@ -1150,7 +1129,7 @@ impl ServiceHandle {
 
     /// [`execute`](Self::execute) with transient failures retried per
     /// `policy` (exponential backoff, decorrelated jitter, budget-capped).
-    /// Sole owner of the `serve.retries` accounting together with
+    /// Sole owner of the `retries` accounting together with
     /// [`submit_with_retry`](Self::submit_with_retry).
     pub fn execute_with_retry(
         &self,
@@ -1188,44 +1167,6 @@ impl ServiceHandle {
                     }
                 }
                 other => return other,
-            }
-        }
-    }
-
-    /// Persists the currently published snapshot as an ESDX file at
-    /// `path`, atomically *and durably*: the index is frozen and written
-    /// to a temporary sibling, the tmp file is fsynced, it is renamed into
-    /// place, and the parent directory is fsynced — so a failed persist
-    /// (real or injected at the `persist_io` fault point) leaves no
-    /// partial file behind, and a power cut after return cannot roll the
-    /// rename back or leave a half-written file under the final name.
-    /// Panics are contained. Returns the persisted epoch.
-    pub fn persist_snapshot(&self, path: &std::path::Path) -> std::io::Result<u64> {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let snapshot = self.engine.snapshot.load();
-            self.engine.fault(FaultPoint::PersistIo)?;
-            let frozen =
-                esd_core::index::FrozenEsdIndex::build(&snapshot.index().graph().to_graph());
-            let tmp = path.with_extension("esdx.tmp");
-            frozen.save(&tmp)?;
-            // The write-then-rename dance is only atomic if the tmp file's
-            // *contents* are on disk before the rename commits the name,
-            // and the rename itself is only durable once the directory
-            // entry is.
-            std::fs::File::open(&tmp)?.sync_all()?;
-            std::fs::rename(&tmp, path)?;
-            if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-                esd_durability::sync_dir(parent)?;
-            }
-            Ok(snapshot.epoch())
-        }));
-        match result {
-            Ok(outcome) => outcome,
-            Err(_) => {
-                self.engine.note_contained_panic();
-                Err(std::io::Error::other(
-                    "snapshot persist panicked; no file written",
-                ))
             }
         }
     }
@@ -1422,7 +1363,6 @@ mod tests {
             cache_capacity: 0,
             default_deadline: Some(Duration::from_millis(200)),
             pipeline_threads: 1,
-            shed_stale_epochs: 1,
             durability: None,
             ownership: EdgeOwnership::ALL,
         };
@@ -1466,7 +1406,6 @@ mod tests {
             cache_capacity: 64,
             default_deadline: Some(Duration::from_millis(200)),
             pipeline_threads: 1,
-            shed_stale_epochs: 1,
             durability: None,
             ownership: EdgeOwnership::ALL,
         };
@@ -1525,7 +1464,6 @@ mod tests {
             cache_capacity: 0,
             default_deadline: Some(Duration::from_millis(500)),
             pipeline_threads: 1,
-            shed_stale_epochs: 1,
             durability: None,
             ownership: EdgeOwnership::ALL,
         };
@@ -1862,38 +1800,6 @@ mod tests {
         assert!(
             !snapshot.index().graph().has_edge(3, 203),
             "the torn (never-acked) record must not resurrect"
-        );
-        service.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn persist_snapshot_survives_roundtrip() {
-        let g = test_graph();
-        let dir = temp_dir("persist");
-        std::fs::create_dir_all(&dir).unwrap();
-        let service = Service::start(
-            &g,
-            &ServiceConfig {
-                workers: 0,
-                ..ServiceConfig::default()
-            },
-        );
-        let path = dir.join("snapshot.esdx");
-        let epoch = service.handle().persist_snapshot(&path).unwrap();
-        assert_eq!(epoch, 0);
-        let loaded = esd_core::index::FrozenEsdIndex::load(&path).unwrap();
-        assert_eq!(
-            loaded.query(10, 2),
-            *service
-                .handle()
-                .execute(QueryRequest::new(10, 2))
-                .unwrap()
-                .results
-        );
-        assert!(
-            !dir.join("snapshot.esdx.tmp").exists(),
-            "no tmp residue after a successful persist"
         );
         service.shutdown();
         let _ = std::fs::remove_dir_all(&dir);

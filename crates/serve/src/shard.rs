@@ -92,14 +92,15 @@ const OVERFETCH: usize = 8;
 /// Entry cap for one generation of the merged-result cache.
 const MERGED_CACHE_CAP: usize = 4096;
 
-/// Single-generation cache of *merged* query results, keyed `(k, τ)` and
-/// stamped with the per-shard epoch vector the merge used. The single
-/// engine amortises repeated queries through its own result cache (an
-/// `Arc` clone per hit); without a merge-level equivalent a sharded
-/// repeat would still pay `S` sub-queries plus a fresh `O(k)` merge every
-/// time. Any epoch advancing anywhere starts a new generation (the map is
-/// cleared), so a hit is always the exact answer at the current vector —
-/// invalidation is structural, exactly like the per-engine cache.
+/// Single-generation cache of *merged* query results, keyed
+/// `(family, k, τ)` and stamped with the per-shard epoch vector the merge
+/// used. The single engine amortises repeated queries through its own
+/// result cache (an `Arc` clone per hit); without a merge-level
+/// equivalent a sharded repeat would still pay `S` sub-queries plus a
+/// fresh `O(k)` merge every time. Any epoch advancing anywhere starts a new
+/// generation (the map is cleared), so a hit is always the exact answer at
+/// the current vector — invalidation is structural, exactly like the
+/// per-engine cache.
 #[derive(Debug, Default)]
 struct MergedCache {
     state: Mutex<MergedCacheState>,

@@ -168,7 +168,9 @@ catalogue! {
     ///
     /// Each counter has exactly one owning call site (listed per entry), so
     /// totals are never double-counted; tests in `tests/telemetry_counters.rs`
-    /// pin every counter to independently recomputed ground truth.
+    /// pin every counter to independently recomputed ground truth. Serve,
+    /// WAL and checkpoint events are not counted here: each serve engine
+    /// owns them in its own `esd_serve::MetricsRegistry`.
     Metric {
         /// Adaptive intersections resolved to the two-pointer merge kernel
         /// (recorded by the `esd-graph::intersect` dispatcher only; the
@@ -213,18 +215,6 @@ catalogue! {
         OnlineHeapPops => "online.heap_pops",
         /// Edges enqueued by the online search (bound-order seeding).
         OnlineEnqueued => "online.enqueued",
-        /// Faults injected by the `esd-serve` fault layer (non-zero only
-        /// in `fault-injection` builds running an armed plan).
-        ServeFaultsInjected => "serve.faults_injected",
-        /// Panics caught and contained by the serve worker pool / writer
-        /// (the thread keeps serving instead of poisoning the engine).
-        ServeWorkerRestarts => "serve.worker_restarts",
-        /// Client-side retries performed by the serve `RetryPolicy`
-        /// wrappers (`execute_with_retry` / `submit_with_retry`).
-        ServeRetries => "serve.retries",
-        /// Queries answered from a retained cached result under overload
-        /// shedding instead of being rejected with `QueueFull`.
-        ServeShed => "serve.shed",
         /// Per-shard batch submissions routed by the sharded write fan-out
         /// (S per accepted batch; 0 while serving a single engine).
         ShardRoute => "shard.route",
@@ -234,24 +224,6 @@ catalogue! {
         /// Candidate results entering the scatter-gather k-way merge (the
         /// sum of per-shard list lengths at the final merge).
         ShardMerge => "shard.merge",
-        /// WAL records appended by the durable commit path.
-        WalRecords => "wal.records",
-        /// WAL bytes appended (frame bytes, including headers).
-        WalBytes => "wal.bytes",
-        /// WAL group-commit fsyncs performed.
-        WalFsyncs => "wal.fsyncs",
-        /// WAL transactional truncations (a failed window's speculative
-        /// record physically removed so it can never be replayed).
-        WalTruncations => "wal.truncations",
-        /// WAL records replayed during crash recovery.
-        WalReplayedRecords => "wal.replayed_records",
-        /// Full checkpoints written.
-        CkptFull => "ckpt.full",
-        /// Delta checkpoints written.
-        CkptDelta => "ckpt.delta",
-        /// Checkpoint attempts that failed (counted and retried at the
-        /// next interval; never surfaced to the acked client).
-        CkptFailures => "ckpt.failures",
         /// Edges whose per-family score profiles `FamilySuite::apply`
         /// recomputed (owned, still-present edges in the blast radius).
         FamilyRecomputedEdges => "family.recomputed_edges",

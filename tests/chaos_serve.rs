@@ -78,7 +78,6 @@ fn chaos_config(workers: usize) -> ServiceConfig {
         // check sound. Liveness is proven by the suite completing.
         default_deadline: None,
         pipeline_threads: 2,
-        shed_stale_epochs: 1,
         durability: None,
         ..ServiceConfig::default()
     }
@@ -483,72 +482,6 @@ fn chaos_mixed_family_queries_survive_faults() {
             );
         }
     }
-}
-
-/// Scenario 5 — ESDX persist faults: an injected I/O error and an
-/// injected panic each leave NO file behind; the next attempt persists a
-/// loadable, correct snapshot.
-#[test]
-fn chaos_persist_fault_leaves_no_partial_file() {
-    if !esd_serve::faults::enabled() {
-        eprintln!("skipped: fault-injection feature not armed");
-        return;
-    }
-    quiet_injected_panics();
-    let seed = 0xC1A0_0005;
-    let plan = FaultPlan::new(seed)
-        .rule(FaultPoint::PersistIo, Trigger::Nth(1), FaultKind::IoError)
-        .rule(FaultPoint::PersistIo, Trigger::Nth(2), FaultKind::Panic);
-    println!("chaos[persist_fault]: seed={seed:#x} plan={plan:?}");
-    let g = chaos_graph(seed);
-    let service = Service::start_with_faults(&g, &chaos_config(2), plan);
-    let handle = service.handle();
-    // Mutate a little first so the persisted snapshot is non-trivial.
-    let mut rng = StdRng::seed_from_u64(seed);
-    for _ in 0..10 {
-        let _ = handle.submit(MutationBatch::from_raw(random_ops(&mut rng)));
-    }
-
-    let dir = std::env::temp_dir().join(format!("esd_chaos_{seed:x}"));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("snapshot.esdx");
-
-    // Both failure modes must leave neither the target nor the `.tmp`
-    // staging file (the write-fsync-rename-fsync chain cleans up on every
-    // early exit).
-    let tmp_residue = |dir: &std::path::Path| {
-        std::fs::read_dir(dir)
-            .unwrap()
-            .filter_map(Result::ok)
-            .any(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
-    };
-    handle
-        .persist_snapshot(&path)
-        .expect_err("call 1: injected i/o error");
-    assert!(!path.exists(), "failed persist must leave no file");
-    assert!(!tmp_residue(&dir), "failed persist must leave no .tmp file");
-    handle
-        .persist_snapshot(&path)
-        .expect_err("call 2: injected panic, contained");
-    assert!(!path.exists(), "panicked persist must leave no file");
-    assert!(
-        !tmp_residue(&dir),
-        "panicked persist must leave no .tmp file"
-    );
-    assert!(handle.metrics().worker_restarts.get() > 0);
-
-    let epoch = handle.persist_snapshot(&path).expect("call 3: clean");
-    assert_eq!(epoch, handle.snapshot().epoch());
-    let loaded = esd_core::index::FrozenEsdIndex::load(&path).expect("persisted file loads");
-    // The round trip is exact: the loaded index answers like a freshly
-    // frozen build of the served graph.
-    let expect =
-        esd_core::index::FrozenEsdIndex::build(&handle.snapshot().index().graph().to_graph());
-    for (k, tau) in [(10, 1), (50, 2), (200, 1)] {
-        assert_eq!(loaded.query(k, tau), expect.query(k, tau));
-    }
-    service.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------------

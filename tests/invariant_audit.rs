@@ -176,6 +176,20 @@ fn esdx_semantically_corrupt_but_checksummed_file_is_rejected() {
     );
 }
 
+/// A header claiming the largest counts the arity guard admits (2³² lists,
+/// 2⁴⁰ entries) over a few dozen bytes is rejected once the bytes run out,
+/// without an allocation sized by the claim.
+#[test]
+fn esdx_huge_header_counts_over_a_short_body_are_rejected() {
+    let mut body = b"ESDX".to_vec();
+    body.extend_from_slice(&1u32.to_le_bytes()); // version
+    body.extend_from_slice(&(1u64 << 32).to_le_bytes()); // |C|
+    body.extend_from_slice(&(1u64 << 40).to_le_bytes()); // entries
+    body.extend((1u32..=8).flat_map(u32::to_le_bytes)); // C = {1..8}
+    let err = FrozenEsdIndex::read_from(body.as_slice());
+    assert!(err.is_err(), "56 bytes cannot hold 2^40 entries: {err:?}");
+}
+
 // ---------------------------------------------------------------------------
 // Durable-state corruption fuzzing (WAL segments + checkpoints)
 // ---------------------------------------------------------------------------
@@ -317,6 +331,29 @@ fn wal_every_single_byte_corruption_recovers_a_valid_prefix() {
         }
     }
     std::fs::write(seg, &pristine).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A final frame prefix whose length field claims the reader's 1 GiB frame
+/// ceiling, in a segment far shorter than that, is a torn tail: replay
+/// keeps every earlier record and stops there.
+#[test]
+fn wal_frame_longer_than_its_segment_is_a_torn_tail() {
+    let dir = build_durable_dir("wal_huge_frame", 1_000_000);
+    let prefixes = prefix_edge_sets();
+    let segments = wal_segments_in(&dir);
+    assert_eq!(segments.len(), 1, "the workload fits one segment");
+    let mut bytes = std::fs::read(&segments[0]).unwrap();
+    bytes.extend_from_slice(&(1u32 << 30).to_le_bytes()); // len
+    bytes.extend_from_slice(&0u32.to_le_bytes()); // crc
+    std::fs::write(&segments[0], &bytes).unwrap();
+    let replay = esd_durability::read_dir(&dir).unwrap();
+    assert!(replay.truncated, "the oversized frame is a tear");
+    assert_eq!(replay.records.len(), FUZZ_BATCHES as usize);
+    assert_eq!(
+        assert_recovers_to_valid_prefix(&dir, &prefixes, "oversized frame"),
+        u64::from(FUZZ_BATCHES)
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
