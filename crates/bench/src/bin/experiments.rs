@@ -86,7 +86,7 @@ fn main() {
             "serve",
         ]
         .iter()
-        .map(|s| s.to_string())
+        .map(ToString::to_string)
         .collect();
     }
     CSV_DIR.set(csv_dir).expect("csv dir set once");
@@ -278,7 +278,7 @@ fn fig7(scale: Scale) {
         "note: this machine exposes {} CPU core(s); wall-clock speedup is\n\
          hardware-capped, so per-worker balance is reported alongside.\n",
         std::thread::available_parallelism()
-            .map(|p| p.get())
+            .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
     );
     for name in ["Pokec", "LiveJournal"] {
@@ -359,7 +359,7 @@ fn fig9(scale: Scale) {
             let sub = if pct == 100 {
                 g.clone()
             } else {
-                sample(&g, pct as f64 / 100.0, 0x5CA1E)
+                sample(&g, f64::from(pct) / 100.0, 0x5CA1E)
             };
             let (_, _, d_on) = run_online(&sub, DEFAULT_K, DEFAULT_TAU, UpperBound::CommonNeighbor);
             let (index, d_build) = time(|| EsdIndex::build_fast(&sub));
@@ -389,7 +389,7 @@ fn fig10(scale: Scale) {
         let sub = if pct == 100 {
             g.clone()
         } else {
-            subgraph::sample_edges(&g, pct as f64 / 100.0, 0x5CA1E)
+            subgraph::sample_edges(&g, f64::from(pct) / 100.0, 0x5CA1E)
         };
         let (_, d1) = time(|| EsdIndex::build_parallel(&sub, 1));
         let (_, d20) = time(|| EsdIndex::build_parallel(&sub, 20));

@@ -140,10 +140,10 @@ fn parse_args() -> Result<Config, String> {
     if !(0.0..=1.0).contains(&cfg.write_ratio) {
         return Err("--write-ratio must be in [0, 1]".into());
     }
-    if cfg.shards.iter().any(|&s| s == 0) {
+    if cfg.shards.contains(&0) {
         return Err("--shards entries must be at least 1".into());
     }
-    if cfg.k_set.iter().any(|&k| k == 0) {
+    if cfg.k_set.contains(&0) {
         return Err("--k-set entries must be at least 1".into());
     }
     if cfg.families.is_empty() {

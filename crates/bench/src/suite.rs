@@ -210,7 +210,7 @@ fn run_dataset(out: &mut Vec<Json>, g: &Graph, dataset: &str, cfg: &SuiteConfig)
         let _ = online_topk(g, 10, 2, UpperBound::CommonNeighbor);
     })));
 
-    // Family queries: the per-edge profiles are built once outside the
+    // Family queries: the suite's ranked lists are built once outside the
     // timed region (the build cost is `build_seq`'s territory), then each
     // repetition ranks top-100 under every maintained family so the
     // `family.query` span and `family.queries` counter land in the report.

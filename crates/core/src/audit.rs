@@ -9,7 +9,7 @@
 //!
 //! | structure | validator | invariants |
 //! |---|---|---|
-//! | [`ScoreTreap`] | [`ScoreTreap::validate`] | arena bounds, acyclicity, heap order on priorities, strict BST rank order, subtree sizes, free-list/slot accounting, deterministic priorities |
+//! | [`ScoreTreap`] | [`ScoreTreap::validate`] | arena bounds, acyclicity, heap order on key-hashed priorities, strict BST rank order, subtree sizes, free-list/slot accounting |
 //! | [`EdgeComponents`] | [`EdgeComponents::validate`] | monotone offsets, ascending positive size multisets |
 //! | [`EsdIndex`] | [`EsdIndex::validate`], [`EsdIndex::validate_against`] | ascending `C`, per-list treap soundness, list nesting `H(c') ⊆ H(c)`, score monotonicity; vs-graph: exact contents + Theorem 3 |
 //! | [`FrozenEsdIndex`] | [`FrozenEsdIndex::validate`], [`FrozenEsdIndex::validate_against`] | same invariants on the flat layout |
@@ -102,12 +102,6 @@ pub enum TreapViolation {
         /// The orphaned slot.
         slot: u32,
     },
-    /// A node's stored priority differs from the deterministic hash of its
-    /// key.
-    PriorityMismatch {
-        /// The slot with the non-canonical priority.
-        node: u32,
-    },
 }
 
 impl std::fmt::Display for TreapViolation {
@@ -151,9 +145,6 @@ impl std::fmt::Display for TreapViolation {
             }
             Self::FreeSlotDuplicate { slot } => write!(f, "slot {slot} freed twice"),
             Self::SlotLeak { slot } => write!(f, "slot {slot} neither reachable nor free"),
-            Self::PriorityMismatch { node } => {
-                write!(f, "node {node} priority differs from the hash of its key")
-            }
         }
     }
 }
@@ -195,7 +186,7 @@ impl ScoreTreap {
                         tree_sound = false;
                         continue;
                     }
-                    if self.nodes[child as usize].prio > node.prio {
+                    if priority_of(&self.nodes[child as usize].key) > priority_of(&node.key) {
                         out.push(TreapViolation::HeapOrder { parent: t, child });
                     }
                     state[child as usize] = 1;
@@ -209,13 +200,6 @@ impl ScoreTreap {
                 stored: self.len,
                 actual: reachable,
             });
-        }
-
-        // Deterministic priorities on every live node.
-        for (t, node) in self.nodes.iter().enumerate() {
-            if state[t] == 1 && node.prio != priority_of(&node.key) {
-                out.push(TreapViolation::PriorityMismatch { node: t as u32 });
-            }
         }
 
         // Order checks need an actual tree; a cyclic or out-of-bounds shape
@@ -1220,14 +1204,12 @@ impl MaintainedIndex {
         // Refcounts recomputed from the forests.
         let mut expected_ref: BTreeMap<u32, usize> = BTreeMap::new();
         for (_, sizes) in &edge_sizes {
-            let mut distinct = sizes.clone();
-            distinct.dedup();
-            for s in distinct {
+            for s in crate::index::ranked::distinct(sizes) {
                 *expected_ref.entry(s).or_insert(0) += 1;
             }
         }
         for (&c, &actual) in &expected_ref {
-            let stored = self.refcounts.get(&c).copied().unwrap_or(0);
+            let stored = self.ranked.refcounts.get(&c).copied().unwrap_or(0);
             if stored != actual {
                 out.push(MaintViolation::RefcountMismatch {
                     threshold: c,
@@ -1236,7 +1218,7 @@ impl MaintainedIndex {
                 });
             }
         }
-        for (&c, &stored) in &self.refcounts {
+        for (&c, &stored) in &self.ranked.refcounts {
             if !expected_ref.contains_key(&c) {
                 out.push(MaintViolation::RefcountMismatch {
                     threshold: c,
@@ -1247,19 +1229,19 @@ impl MaintainedIndex {
         }
 
         // Key agreement between lists and refcounts.
-        for &c in self.lists.keys() {
-            if !self.refcounts.contains_key(&c) {
+        for &c in self.ranked.lists.keys() {
+            if !self.ranked.refcounts.contains_key(&c) {
                 out.push(MaintViolation::ListWithoutRefcount { threshold: c });
             }
         }
-        for &c in self.refcounts.keys() {
-            if !self.lists.contains_key(&c) {
+        for &c in self.ranked.refcounts.keys() {
+            if !self.ranked.lists.contains_key(&c) {
                 out.push(MaintViolation::RefcountWithoutList { threshold: c });
             }
         }
 
         // List contents vs forest-derived scores, plus treap soundness.
-        for (&c, list) in &self.lists {
+        for (&c, list) in &self.ranked.lists {
             for v in list.validate() {
                 out.push(MaintViolation::Treap {
                     threshold: c,
@@ -1416,31 +1398,33 @@ mod tests {
     }
 
     #[test]
-    fn treap_detects_priority_and_heap_corruption() {
+    fn treap_detects_heap_corruption() {
         let mut t = sample_treap();
-        // Find a non-root reachable node and inflate its priority past its
-        // parent's: both the heap check and the determinism check fire.
+        // Rotate the root's left child above it: rank order and subtree
+        // sizes stay sound, but the old root now sits below a node of
+        // lower priority.
         let root = t.root;
-        let child = {
-            let r = &t.nodes[root as usize];
-            if r.left != NIL {
-                r.left
-            } else {
-                r.right
-            }
+        let child = t.nodes[root as usize].left;
+        assert_ne!(child, NIL, "sample treap has a left subtree");
+        let lower = t.nodes[child as usize].right;
+        let lower_size = if lower == NIL {
+            0
+        } else {
+            t.nodes[lower as usize].size
         };
-        t.nodes[child as usize].prio = u64::MAX;
+        let total = t.nodes[root as usize].size;
+        t.nodes[root as usize].left = lower;
+        t.nodes[root as usize].size -= t.nodes[child as usize].size - lower_size;
+        t.nodes[child as usize].right = root;
+        t.nodes[child as usize].size = total;
+        t.root = child;
         let v = t.validate();
-        assert!(
-            v.contains(&TreapViolation::HeapOrder {
-                parent: root,
-                child
-            }),
-            "got {v:?}"
-        );
-        assert!(
-            v.contains(&TreapViolation::PriorityMismatch { node: child }),
-            "got {v:?}"
+        assert_eq!(
+            v,
+            vec![TreapViolation::HeapOrder {
+                parent: child,
+                child: root
+            }]
         );
     }
 
@@ -1528,7 +1512,6 @@ mod tests {
         let mut t = sample_treap();
         t.nodes.push(Node {
             key: key(1, 200, 201),
-            prio: 0,
             left: NIL,
             right: NIL,
             size: 1,
@@ -1748,8 +1731,8 @@ mod tests {
     fn maintained_detects_refcount_corruption() {
         let (g, _) = fig1();
         let mut index = MaintainedIndex::new(&g);
-        let true_count = index.refcounts[&4];
-        *index.refcounts.get_mut(&4).unwrap() += 3;
+        let true_count = index.ranked.refcounts[&4];
+        *index.ranked.refcounts.get_mut(&4).unwrap() += 3;
         let v = index.validate();
         assert!(
             v.contains(&MaintViolation::RefcountMismatch {
@@ -1765,8 +1748,8 @@ mod tests {
     fn maintained_detects_list_key_divergence() {
         let (g, _) = fig1();
         let mut index = MaintainedIndex::new(&g);
-        let treap = index.lists.remove(&4).unwrap();
-        index.lists.insert(3, treap);
+        let treap = index.ranked.lists.remove(&4).unwrap();
+        index.ranked.lists.insert(3, treap);
         let v = index.validate();
         assert!(
             v.contains(&MaintViolation::ListWithoutRefcount { threshold: 3 }),
@@ -1854,7 +1837,7 @@ mod tests {
     fn maintained_detects_list_entry_drift() {
         let (g, _) = fig1();
         let mut index = MaintainedIndex::new(&g);
-        let (&c, list) = index.lists.iter_mut().next().unwrap();
+        let (&c, list) = index.ranked.lists.iter_mut().next().unwrap();
         let victim = list.iter_ranked()[0];
         list.remove(&RankKey {
             score: victim.score,

@@ -34,18 +34,22 @@
 //!   [`esd_graph::betweenness::edge_betweenness`] over the ego subgraph.
 //!   τ does not apply and is ignored.
 //!
-//! [`FamilySuite`] holds the maintained per-edge score profiles for the
-//! three non-component families, beside (not inside) [`MaintainedIndex`]:
-//! the component index keeps its forests/treaps machinery untouched, and
-//! the suite keeps one profile per **owned** edge, recomputed per update
-//! window over the family-agnostic blast radius (the same radius the
-//! component pipeline plans: the updated edge, edges incident to its
+//! [`FamilySuite`] maintains the three non-component families beside (not
+//! inside) [`MaintainedIndex`] and ranks them with the same treap lists:
+//! truss core sizes (a sorted multiset, the shape of `C_uv`) feed the
+//! component index's `H(c)` lists, and the τ-free parameter-free and
+//! ego-betweenness scores each fill one [`ScoreTreap`], so a query is a
+//! treap walk. The suite keeps one profile per **owned** edge, recomputed
+//! per update window over the family-agnostic blast radius (the same radius
+//! the component pipeline plans: the updated edge, edges incident to its
 //! endpoints, and ego pairs of its common neighbourhood — all enumerated
 //! against the post-window graph, which covers every membership change
 //! because the update that caused it contributes its own incident edges).
 //!
 //! [`MaintainedIndex`]: crate::MaintainedIndex
 
+use crate::index::ostree::{RankKey, ScoreTreap};
+use crate::index::ranked::RankedLists;
 use crate::maintain::{EdgeOwnership, GraphUpdate};
 use crate::score::score_from_sizes;
 use crate::ScoredEdge;
@@ -146,7 +150,7 @@ struct EdgeProfiles {
     /// Sorted multiset of 3-truss core sizes, one entry per ego component
     /// with a non-empty core (zero-core components are dropped — they can
     /// never reach any τ ≥ 1).
-    truss_cores: Vec<u32>,
+    truss_cores: TrussCores,
     /// The parameter-free score (component score at `τ*(e)`).
     pf: u32,
     /// Total ego-betweenness mass `Σ_{s<t connected} d(s, t)`, saturated
@@ -159,44 +163,53 @@ impl EdgeProfiles {
     /// against `g` — one ego materialisation shared by every family.
     fn compute(g: &DynamicGraph, u: VertexId, v: VertexId) -> Self {
         let ego = EgoNetwork::around(g, u, v);
-        let labels = ego.component_labels();
-        let comp_count = labels.iter().copied().max().map_or(0, |m| m as usize + 1);
+        let (labels, betweenness) = ego.components_and_mass();
+        let comp_count = labels.iter().max().map_or(0, |&m| m as usize + 1);
         let mut comp_sizes = vec![0u32; comp_count];
-        for &l in &labels {
-            comp_sizes[l as usize] += 1;
-        }
         // Truss: per-component count of members sitting in ≥ 1 ego
         // triangle (the 3-truss core — see the module doc for why the
         // 3-truss is exactly the union of triangles).
-        let in_triangle = ego.triangle_members();
         let mut truss_cores = vec![0u32; comp_count];
-        for (i, &l) in labels.iter().enumerate() {
-            if in_triangle[i] {
-                truss_cores[l as usize] += 1;
-            }
+        for (&l, in_triangle) in labels.iter().zip(ego.triangle_members()) {
+            comp_sizes[l as usize] += 1;
+            truss_cores[l as usize] += u32::from(in_triangle);
         }
         truss_cores.retain(|&c| c > 0);
         truss_cores.sort_unstable();
         // Parameter-free: component score at τ*(h).
-        let mut sorted_sizes = comp_sizes;
-        sorted_sizes.sort_unstable();
-        let pf = score_from_sizes(&sorted_sizes, tau_star(ego.len()));
+        comp_sizes.sort_unstable();
         Self {
-            truss_cores,
-            pf,
-            betweenness: ego.distance_mass(),
+            truss_cores: TrussCores::new(truss_cores),
+            pf: score_from_sizes(&comp_sizes, tau_star(ego.len())),
+            betweenness,
+        }
+    }
+}
+
+/// A sorted multiset of core sizes, each ≥ 1. Up to two sizes — every edge
+/// but a handful on the bench surrogates — sit inline behind leading zero
+/// padding, so cloning the profile map on each publish allocates nothing
+/// for them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum TrussCores {
+    Inline([u32; 2]),
+    Boxed(Box<[u32]>),
+}
+
+impl TrussCores {
+    fn new(sorted: Vec<u32>) -> Self {
+        match *sorted {
+            [] => Self::Inline([0, 0]),
+            [a] => Self::Inline([0, a]),
+            [a, b] => Self::Inline([a, b]),
+            _ => Self::Boxed(sorted.into_boxed_slice()),
         }
     }
 
-    /// The profile's score under `family` at threshold `tau`.
-    fn score(&self, family: Family, tau: u32) -> u32 {
-        match family {
-            Family::Truss => score_from_sizes(&self.truss_cores, tau),
-            Family::ParameterFree => self.pf,
-            Family::EgoBetweenness => self.betweenness,
-            Family::Component => {
-                unreachable!("component queries are served by MaintainedIndex")
-            }
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            Self::Inline(sizes) => &sizes[sizes.iter().take_while(|&&s| s == 0).count()..],
+            Self::Boxed(sizes) => sizes,
         }
     }
 }
@@ -230,76 +243,50 @@ impl EgoNetwork {
         self.adj.len()
     }
 
-    /// Connected-component label per member (BFS over the local adjacency).
-    fn component_labels(&self) -> Vec<u32> {
-        let n = self.len();
-        let mut labels = vec![u32::MAX; n];
-        let mut next = 0u32;
-        let mut queue = Vec::new();
-        for start in 0..n {
-            if labels[start] != u32::MAX {
-                continue;
-            }
-            labels[start] = next;
-            queue.push(start);
-            while let Some(x) = queue.pop() {
-                for &y in &self.adj[x] {
-                    if labels[y as usize] == u32::MAX {
-                        labels[y as usize] = next;
-                        queue.push(y as usize);
-                    }
-                }
-            }
-            next += 1;
-        }
-        labels
-    }
-
     /// Which members sit in at least one ego triangle — equivalently,
     /// which members the ego network's 3-truss retains.
     fn triangle_members(&self) -> Vec<bool> {
-        let n = self.len();
-        let mut in_tri = vec![false; n];
-        for x in 0..n {
-            for &y in &self.adj[x] {
-                let y = y as usize;
-                if y <= x {
-                    continue;
+        let mut in_tri = vec![false; self.len()];
+        let mut common = Vec::new();
+        for (x, ax) in self.adj.iter().enumerate() {
+            for &y in ax.iter().filter(|&&y| y as usize > x) {
+                // Every common neighbour z closes a triangle {x, y, z}.
+                common.clear();
+                esd_graph::intersect::intersect_merge(ax, &self.adj[y as usize], &mut common);
+                if !common.is_empty() {
+                    in_tri[x] = true;
+                    in_tri[y as usize] = true;
                 }
-                // Sorted-merge the two neighbour lists: every common
-                // entry closes a triangle {x, y, z}.
-                let (ax, ay) = (&self.adj[x], &self.adj[y]);
-                let (mut i, mut j) = (0, 0);
-                while i < ax.len() && j < ay.len() {
-                    match ax[i].cmp(&ay[j]) {
-                        std::cmp::Ordering::Less => i += 1,
-                        std::cmp::Ordering::Greater => j += 1,
-                        std::cmp::Ordering::Equal => {
-                            in_tri[x] = true;
-                            in_tri[y] = true;
-                            in_tri[ax[i] as usize] = true;
-                            i += 1;
-                            j += 1;
-                        }
-                    }
+                for &z in &common {
+                    in_tri[z as usize] = true;
                 }
             }
         }
         in_tri
     }
 
-    /// `Σ_{s<t connected} d(s, t)` over the ego network — the total
-    /// betweenness mass — via one BFS per member, saturated at `u32::MAX`.
-    fn distance_mass(&self) -> u32 {
+    /// One BFS per member over the local adjacency: each member's
+    /// connected-component label, and `Σ_{s<t connected} d(s, t)` over the
+    /// ego network — the total betweenness mass — saturated at `u32::MAX`.
+    fn components_and_mass(&self) -> (Vec<u32>, u32) {
         let n = self.len();
+        let mut labels = vec![u32::MAX; n];
+        let mut next = 0u32;
         let mut total: u64 = 0;
         let mut dist = vec![u32::MAX; n];
         let mut queue = std::collections::VecDeque::new();
         for s in 0..n {
-            dist.iter_mut().for_each(|d| *d = u32::MAX);
+            if labels[s] == u32::MAX {
+                labels[s] = next;
+                next += 1;
+            }
+            let label = labels[s];
+            dist.fill(u32::MAX);
             dist[s] = 0;
             queue.push_back(s);
             while let Some(x) = queue.pop_front() {
+                labels[x] = label;
+                total += u64::from(dist[x]);
                 for &y in &self.adj[x] {
                     if dist[y as usize] == u32::MAX {
                         dist[y as usize] = dist[x] + 1;
@@ -307,14 +294,9 @@ impl EgoNetwork {
                     }
                 }
             }
-            total += dist
-                .iter()
-                .filter(|&&d| d != u32::MAX)
-                .map(|&d| u64::from(d))
-                .sum::<u64>();
         }
         // Every connected pair was counted once from each endpoint.
-        u32::try_from(total / 2).unwrap_or(u32::MAX)
+        (labels, u32::try_from(total / 2).unwrap_or(u32::MAX))
     }
 }
 
@@ -328,14 +310,38 @@ pub struct FamilyApplyReport {
 }
 
 /// Maintained score state for every non-component [`Family`], kept beside
-/// the component index: one [`EdgeProfiles`] per **owned** edge, updated
-/// per window by [`FamilySuite::apply`] and ranked by
-/// [`FamilySuite::query`].
+/// the component index: one score profile per **owned** edge and the ranked
+/// lists built from them, updated per window by [`FamilySuite::apply`] and
+/// walked by [`FamilySuite::query`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FamilySuite {
     ownership: EdgeOwnership,
-    /// Edge key → (edge, profiles), for every owned edge of the graph.
-    profiles: HashMap<u64, (Edge, EdgeProfiles)>,
+    /// Edge key → profiles, for every owned edge of the graph.
+    profiles: HashMap<u64, EdgeProfiles>,
+    /// `H(c)` over each edge's 3-truss core sizes.
+    truss: RankedLists,
+    /// Edges with a positive parameter-free score, ranked by it.
+    pf: ScoreTreap,
+    /// Edges with a positive ego-betweenness mass, ranked by it.
+    betweenness: ScoreTreap,
+}
+
+/// Builds a scalar family's treap in bulk from every profile with a
+/// positive score (every top-k reports positive scores only).
+fn scalar_treap(
+    profiles: &HashMap<u64, EdgeProfiles>,
+    score: impl Fn(&EdgeProfiles) -> u32,
+) -> ScoreTreap {
+    let mut keys: Vec<RankKey> = profiles
+        .iter()
+        .map(|(&key, p)| RankKey {
+            score: score(p),
+            edge: Edge::from_key(key),
+        })
+        .filter(|key| key.score > 0)
+        .collect();
+    keys.sort_unstable();
+    ScoreTreap::from_sorted(&keys)
 }
 
 impl FamilySuite {
@@ -355,17 +361,26 @@ impl FamilySuite {
 
     /// From-scratch reconstruction against `g` — the recompute oracle the
     /// agreement harness compares maintained state to, and what crash
-    /// recovery runs over the recovered graph.
+    /// recovery runs over the recovered graph. Every ranked list is built
+    /// in bulk.
     #[must_use]
     pub fn rebuild(g: &DynamicGraph, ownership: EdgeOwnership) -> Self {
-        let mut profiles = HashMap::new();
-        for e in g.edges() {
-            if ownership.owns_key(e.key()) {
-                profiles.insert(e.key(), (e, EdgeProfiles::compute(g, e.u, e.v)));
-            }
-        }
+        let profiles: HashMap<u64, EdgeProfiles> = g
+            .edges()
+            .into_iter()
+            .filter(|e| ownership.owns_key(e.key()))
+            .map(|e| (e.key(), EdgeProfiles::compute(g, e.u, e.v)))
+            .collect();
+        let truss = RankedLists::build(
+            profiles
+                .iter()
+                .map(|(&key, p)| (Edge::from_key(key), p.truss_cores.as_slice())),
+        );
         Self {
             ownership,
+            truss,
+            pf: scalar_treap(&profiles, |p| p.pf),
+            betweenness: scalar_treap(&profiles, |p| p.betweenness),
             profiles,
         }
     }
@@ -396,8 +411,9 @@ impl FamilySuite {
     /// `v`, and every ego pair of `N(u) ∩ N(v)` — enumerated against the
     /// post-window graph, which covers membership changes caused by other
     /// updates in the same window because *those* updates contribute their
-    /// own incident edges. Affected edges no longer present are dropped;
-    /// the rest are recomputed, fanned out over `threads` workers.
+    /// own incident edges. Every affected edge's old entries leave the
+    /// ranked lists; edges no longer present are dropped, the rest are
+    /// recomputed, fanned out over `threads` workers, and installed.
     pub fn apply(
         &mut self,
         g: &DynamicGraph,
@@ -438,6 +454,18 @@ impl FamilySuite {
             .filter(|e| self.ownership.owns_key(e.key()))
             .collect();
         let affected = owned.len();
+        for &e in &owned {
+            if let Some(old) = self.profiles.get(&e.key()) {
+                self.truss.retract(e, old.truss_cores.as_slice());
+                let scalars = Self::scalar_entries(&mut self.pf, &mut self.betweenness, e, old);
+                for (treap, key) in scalars {
+                    let removed = treap.remove(&key);
+                    debug_assert!(removed, "stale family entry for {e}");
+                }
+            }
+        }
+        // Live edges overwrite their profiles in place: removing and
+        // re-inserting would leave tombstones that make the map grow.
         let (live, dead): (Vec<Edge>, Vec<Edge>) = owned
             .into_iter()
             .partition(|e| in_range(e.u) && in_range(e.v) && g.has_edge(e.u, e.v));
@@ -445,35 +473,34 @@ impl FamilySuite {
             self.profiles.remove(&e.key());
         }
         let recomputed = live.len();
+        let compute = |c: &[Edge]| -> Vec<(Edge, EdgeProfiles)> {
+            c.iter()
+                .map(|&e| (e, EdgeProfiles::compute(g, e.u, e.v)))
+                .collect()
+        };
         let threads = threads.max(1).min(recomputed.max(1));
-        if threads <= 1 {
-            for e in live {
-                self.profiles
-                    .insert(e.key(), (e, EdgeProfiles::compute(g, e.u, e.v)));
-            }
+        let fresh = if threads <= 1 {
+            compute(&live)
         } else {
-            let chunk = recomputed.div_ceil(threads);
-            let batches: Vec<Vec<(Edge, EdgeProfiles)>> = std::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = live
-                    .chunks(chunk)
-                    .map(|c| {
-                        scope.spawn(move || {
-                            c.iter()
-                                .map(|&e| (e, EdgeProfiles::compute(g, e.u, e.v)))
-                                .collect()
-                        })
-                    })
+                    .chunks(recomputed.div_ceil(threads))
+                    .map(|c| scope.spawn(move || compute(c)))
                     .collect();
                 handles
                     .into_iter()
-                    .map(|h| h.join().expect("family recompute worker panicked"))
+                    .flat_map(|h| h.join().expect("family recompute worker panicked"))
                     .collect()
-            });
-            for batch in batches {
-                for (e, prof) in batch {
-                    self.profiles.insert(e.key(), (e, prof));
-                }
+            })
+        };
+        self.truss
+            .restore(fresh.iter().map(|(e, p)| (*e, p.truss_cores.as_slice())));
+        for (e, p) in fresh {
+            for (treap, key) in Self::scalar_entries(&mut self.pf, &mut self.betweenness, e, &p) {
+                let inserted = treap.insert(key);
+                debug_assert!(inserted, "duplicate family entry for {e}");
             }
+            self.profiles.insert(e.key(), p);
         }
         esd_telemetry::add(
             esd_telemetry::Metric::FamilyRecomputedEdges,
@@ -485,53 +512,38 @@ impl FamilySuite {
         }
     }
 
+    /// The scalar families' treaps, each with `edge`'s key under profile
+    /// `p`; a family where `p` scores 0 is skipped.
+    fn scalar_entries<'a>(
+        pf: &'a mut ScoreTreap,
+        betweenness: &'a mut ScoreTreap,
+        edge: Edge,
+        p: &EdgeProfiles,
+    ) -> impl Iterator<Item = (&'a mut ScoreTreap, RankKey)> {
+        [(pf, p.pf), (betweenness, p.betweenness)]
+            .into_iter()
+            .filter(|&(_, score)| score > 0)
+            .map(move |(treap, score)| (treap, RankKey { score, edge }))
+    }
+
     /// Top-`k` owned edges under `family` at threshold `tau`, ranked by
     /// [`ScoredEdge::ranking_cmp`] (score desc, edge asc — the same total
     /// order every component-based query uses, so per-shard answers merge
-    /// byte-identically). Only positive scores are reported. Panics on
-    /// `tau == 0` or [`Family::Component`] (served by the index, not the
-    /// suite).
+    /// byte-identically): a walk of the family's ranked list. Only
+    /// positive scores are reported. Panics on `tau == 0` or
+    /// [`Family::Component`] (served by the index, not the suite).
     #[must_use]
     pub fn query(&self, family: Family, k: usize, tau: u32) -> Vec<ScoredEdge> {
         assert!(tau >= 1, "component size threshold must be at least 1");
-        assert!(
-            family != Family::Component,
-            "component queries are served by MaintainedIndex"
-        );
         let _span = esd_telemetry::span(esd_telemetry::Stage::FamilyQuery);
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<RankEntry>> =
-            std::collections::BinaryHeap::with_capacity(k.saturating_add(1).min(4096));
-        for &(edge, ref prof) in self.profiles.values() {
-            let score = prof.score(family, tau);
-            if score == 0 {
-                continue;
-            }
-            heap.push(std::cmp::Reverse(RankEntry(ScoredEdge { edge, score })));
-            if heap.len() > k {
-                heap.pop();
-            }
-        }
-        let mut out: Vec<ScoredEdge> = heap.into_iter().map(|r| r.0 .0).collect();
-        out.sort_by(ScoredEdge::ranking_cmp);
+        let out = match family {
+            Family::Truss => self.truss.top_k(k, tau),
+            Family::ParameterFree => self.pf.top_k(k),
+            Family::EgoBetweenness => self.betweenness.top_k(k),
+            Family::Component => panic!("component queries are served by MaintainedIndex"),
+        };
         esd_telemetry::add(esd_telemetry::Metric::FamilyQueries, 1);
         out
-    }
-}
-
-/// Heap adapter ordering [`ScoredEdge`] by ranking (best = greatest), so a
-/// min-heap of `Reverse<RankEntry>` keeps the k best.
-#[derive(PartialEq, Eq)]
-struct RankEntry(ScoredEdge);
-
-impl Ord for RankEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.0.ranking_cmp(&self.0)
-    }
-}
-
-impl PartialOrd for RankEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
     }
 }
 
@@ -653,6 +665,7 @@ mod tests {
     use super::*;
     use crate::fixtures::fig1;
     use esd_graph::generators;
+    use std::ops::RangeInclusive;
 
     fn suite_and_graph(seed: u64) -> (FamilySuite, Graph) {
         let g = generators::clique_overlap(80, 60, 4, seed);
@@ -671,40 +684,51 @@ mod tests {
     }
 
     #[test]
+    fn truss_cores_round_trip_inline_and_boxed() {
+        for sizes in [vec![], vec![3], vec![2, 5], vec![4, 4], vec![1, 1, 4]] {
+            let inline = sizes.len() <= 2;
+            let cores = TrussCores::new(sizes.clone());
+            assert_eq!(matches!(cores, TrussCores::Inline(_)), inline);
+            assert_eq!(cores.as_slice(), sizes);
+        }
+    }
+
+    #[test]
     fn tau_star_is_ceil_sqrt() {
         for (h, expect) in [(0, 1), (1, 1), (2, 2), (4, 2), (5, 3), (9, 3), (10, 4)] {
             assert_eq!(tau_star(h), expect, "h={h}");
         }
     }
 
-    #[test]
-    fn kernels_agree_with_oracles_on_fig1() {
-        let (g, _) = fig1();
-        let suite = FamilySuite::new(&g);
-        for tau in 1..=4 {
+    /// Every maintained family's ranking equals the oracle's at every τ.
+    fn assert_matches_oracles(
+        suite: &FamilySuite,
+        g: &Graph,
+        taus: RangeInclusive<u32>,
+        what: &str,
+    ) {
+        for tau in taus {
             for family in Family::MAINTAINED {
                 assert_eq!(
                     suite.query(family, usize::MAX, tau),
-                    oracle::topk(&g, family, usize::MAX, tau),
-                    "{family} tau={tau}"
+                    oracle::topk(g, family, usize::MAX, tau),
+                    "{what} {family} tau={tau}"
                 );
             }
         }
     }
 
     #[test]
+    fn kernels_agree_with_oracles_on_fig1() {
+        let (g, _) = fig1();
+        assert_matches_oracles(&FamilySuite::new(&g), &g, 1..=4, "fig1");
+    }
+
+    #[test]
     fn kernels_agree_with_oracles_on_surrogates() {
         for seed in [3, 17] {
             let (suite, g) = suite_and_graph(seed);
-            for tau in [1, 2, 3] {
-                for family in Family::MAINTAINED {
-                    assert_eq!(
-                        suite.query(family, usize::MAX, tau),
-                        oracle::topk(&g, family, usize::MAX, tau),
-                        "seed={seed} {family} tau={tau}"
-                    );
-                }
-            }
+            assert_matches_oracles(&suite, &g, 1..=3, &format!("seed={seed}"));
         }
     }
 
@@ -763,6 +787,50 @@ mod tests {
         }
         suite.apply(&dg, &updates, 2);
         assert_eq!(suite.len(), dg.num_edges());
+    }
+
+    /// Truss core sizes {3, 5} come from a triangle with a pendant tail in
+    /// the common neighbourhood of (0, 1) and from a K7. Inserting (3, 5)
+    /// closes a second triangle, so core size 4 appears strictly between
+    /// them and `H(4)` is seeded from `H(5)`; removing (3, 5) reaps it.
+    #[test]
+    fn truss_lists_seed_and_reap_a_size_between_existing_ones() {
+        let mut edges = vec![(0, 1), (2, 3), (2, 4), (3, 4), (2, 5)];
+        for w in 2..=5 {
+            edges.extend([(0, w), (1, w)]);
+        }
+        for a in 10..17 {
+            edges.extend((a + 1..17).map(|b| (a, b)));
+        }
+        let g = Graph::from_edges(17, &edges);
+        let mut suite = FamilySuite::new(&g);
+        let mut dg = DynamicGraph::from_graph(&g);
+        let truss_sizes = |s: &FamilySuite| s.truss.refcounts.keys().copied().collect::<Vec<_>>();
+        assert_eq!(truss_sizes(&suite), [3, 5]);
+        for (update, sizes) in [
+            (GraphUpdate::Insert(3, 5), [3, 4, 5].as_slice()),
+            (GraphUpdate::Remove(3, 5), [3, 5].as_slice()),
+        ] {
+            if update.is_insert() {
+                dg.insert_edge(3, 5);
+            } else {
+                dg.remove_edge(3, 5);
+            }
+            suite.apply(&dg, &[update], 1);
+            let what = format!("{update:?}");
+            assert_eq!(truss_sizes(&suite), sizes, "{what}");
+            assert_eq!(
+                suite,
+                FamilySuite::rebuild(&dg, EdgeOwnership::ALL),
+                "{what}"
+            );
+            assert_matches_oracles(
+                &suite,
+                &dg.to_graph(),
+                1..=sizes[sizes.len() - 1] + 1,
+                &what,
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Sequential index construction: Algorithm 2 (BFS) and Algorithm 3
 //! (4-clique enumeration + union–find).
 
+use super::ranked::for_each_entry;
 use super::{EdgeComponents, RankKey, ScoreTreap};
 use esd_dsu::ArenaDsu;
 use esd_graph::{cliques::FourCliqueEnumerator, traversal, Edge, Graph, OrientedGraph, VertexId};
@@ -186,26 +187,12 @@ pub(crate) fn fill_lists(
         lists.iter().all(super::ostree::ScoreTreap::is_empty),
         "fill expects fresh lists"
     );
-    if c_range.is_empty() {
-        return;
-    }
-    let c_min = csizes[c_range.start];
     let mut buffers: Vec<Vec<RankKey>> = vec![Vec::new(); c_range.len()];
     for (eid, &edge) in edges.iter().enumerate() {
-        let s = comps.sizes_of(eid);
-        let Some(&cmax) = s.last() else { continue };
-        if cmax < c_min {
-            continue;
-        }
-        for (li, ci) in c_range.clone().enumerate() {
-            let c = csizes[ci];
-            if c > cmax {
-                break;
-            }
-            let score = (s.len() - s.partition_point(|&x| x < c)) as u32;
-            debug_assert!(score > 0);
-            buffers[li].push(RankKey { score, edge });
-        }
+        let lists = csizes[c_range.clone()].iter().zip(&mut buffers);
+        for_each_entry(lists, edge, comps.sizes_of(eid), |_, buf, key| {
+            buf.push(key);
+        });
     }
     for (li, mut buf) in buffers.into_iter().enumerate() {
         buf.sort_unstable();

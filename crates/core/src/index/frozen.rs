@@ -1,13 +1,13 @@
 //! A frozen, flat-memory ESDIndex for read-only deployments.
 //!
-//! The treap-backed [`EsdIndex`](super::EsdIndex) supports `O(log m)`
+//! The treap-backed [`EsdIndex`] supports `O(log m)`
 //! maintenance, but a read-only consumer pays for that flexibility in
 //! pointer-chasing and per-node overhead. [`FrozenEsdIndex`] lays every
 //! list `H(c)` out as one contiguous, rank-ordered slice:
 //!
 //! * query = one binary search over `C` + one `memcpy`-friendly slice scan
 //!   (`O(log |C| + k)` — strictly better than Theorem 5's `O(k log m)`);
-//! * memory ≈ 8 bytes/entry vs ≈ 28 for the treap arena;
+//! * memory ≈ 8 bytes/entry vs ≈ 24 for the treap arena;
 //! * the layout is position-independent, which is what makes the on-disk
 //!   format of [`super::persist`] a straight dump.
 //!

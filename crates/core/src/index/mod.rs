@@ -21,6 +21,7 @@ pub mod frozen;
 pub mod ostree;
 mod parallel;
 pub mod persist;
+pub(crate) mod ranked;
 
 pub use build::BuildStats;
 pub use delta::{DeltaError, EdgeSetDelta, EdgeSetSnapshot};

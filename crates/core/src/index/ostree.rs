@@ -6,7 +6,9 @@
 //! `O(k + log m)` (Theorem 5). Node priorities are a deterministic
 //! `splitmix64` hash of the key, making tree shapes reproducible and
 //! independent of insertion order (which also makes the parallel builder's
-//! output byte-identical to the sequential one's).
+//! output byte-identical to the sequential one's). Being a function of the
+//! key, a priority is recomputed where compared rather than stored, which
+//! keeps an arena node at 24 bytes.
 
 use crate::ScoredEdge;
 use esd_graph::Edge;
@@ -41,7 +43,6 @@ pub(crate) const NIL: u32 = u32::MAX;
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Node {
     pub(crate) key: RankKey,
-    pub(crate) prio: u64,
     pub(crate) left: u32,
     pub(crate) right: u32,
     pub(crate) size: u32,
@@ -73,7 +74,7 @@ pub(crate) fn priority_of(key: &RankKey) -> u64 {
 /// let top = t.top_k(1);
 /// assert_eq!(top[0].score, 5);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ScoreTreap {
     pub(crate) nodes: Vec<Node>,
     pub(crate) free: Vec<u32>,
@@ -117,6 +118,12 @@ impl ScoreTreap {
         }
     }
 
+    /// The priority of the node in slot `t`, a hash of its key.
+    #[inline]
+    fn prio(&self, t: u32) -> u64 {
+        priority_of(&self.nodes[t as usize].key)
+    }
+
     #[inline]
     fn pull(&mut self, t: u32) {
         let (l, r) = (self.nodes[t as usize].left, self.nodes[t as usize].right);
@@ -126,7 +133,6 @@ impl ScoreTreap {
     fn alloc(&mut self, key: RankKey) -> u32 {
         let node = Node {
             key,
-            prio: priority_of(&key),
             left: NIL,
             right: NIL,
             size: 1,
@@ -148,7 +154,7 @@ impl ScoreTreap {
         if b == NIL {
             return a;
         }
-        if self.nodes[a as usize].prio >= self.nodes[b as usize].prio {
+        if self.prio(a) >= self.prio(b) {
             let ar = self.nodes[a as usize].right;
             let merged = self.merge(ar, b);
             self.nodes[a as usize].right = merged;
@@ -216,16 +222,17 @@ impl ScoreTreap {
             root: NIL,
             len: keys.len(),
         };
-        // Right spine of the tree built so far, root first.
-        let mut spine: Vec<u32> = Vec::new();
+        // Right spine of the tree built so far with its priorities, root
+        // first.
+        let mut spine: Vec<(u32, u64)> = Vec::new();
         for &key in keys {
             let node = treap.alloc(key);
-            let prio = treap.nodes[node as usize].prio;
+            let prio = priority_of(&key);
             // Pop spine entries with smaller priority; the last popped
             // becomes the new node's left child.
             let mut last_popped = NIL;
-            while let Some(&top) = spine.last() {
-                if treap.nodes[top as usize].prio < prio {
+            while let Some(&(top, top_prio)) = spine.last() {
+                if top_prio < prio {
                     last_popped = top;
                     spine.pop();
                 } else {
@@ -234,10 +241,10 @@ impl ScoreTreap {
             }
             treap.nodes[node as usize].left = last_popped;
             match spine.last() {
-                Some(&parent) => treap.nodes[parent as usize].right = node,
+                Some(&(parent, _)) => treap.nodes[parent as usize].right = node,
                 None => treap.root = node,
             }
-            spine.push(node);
+            spine.push((node, prio));
         }
         // Recompute subtree sizes bottom-up along the spine path: sizes were
         // left at 1; fix by a post-order pass over the whole tree (O(n)).
@@ -385,6 +392,22 @@ impl ScoreTreap {
     }
 }
 
+/// The empty treap; a derived `Default` would set `root` to slot 0, not `NIL`.
+impl Default for ScoreTreap {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Content equality: the same keys, whatever arena slots hold them.
+impl PartialEq for ScoreTreap {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter_ranked() == other.iter_ranked()
+    }
+}
+
+impl Eq for ScoreTreap {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,6 +468,15 @@ mod tests {
         }
         assert_eq!(t.select(t.len()), None);
         assert_eq!(t.rank(&key(100, 0, 1)), None);
+    }
+
+    #[test]
+    fn default_is_the_empty_treap() {
+        let mut t = ScoreTreap::default();
+        assert!(!t.contains(&key(1, 0, 1)));
+        assert!(t.insert(key(1, 0, 1)));
+        assert_eq!(t, ScoreTreap::from_sorted(&[key(1, 0, 1)]));
+        assert_ne!(t, ScoreTreap::new());
     }
 
     #[test]

@@ -14,19 +14,17 @@
 //! forest is rebuilt from its post-deletion ego-network (the same
 //! `O((αγ(n) + log m)·m_uv)` locality as Theorem 9).
 //!
-//! **Documented deviation from the paper** (see DESIGN.md): when an update
-//! introduces a component size `c ∉ C`, the fresh list `H(c)` is seeded as a
-//! clone of its successor list `H(c')` before the locally-updated edges are
-//! inserted. The paper's Example 7 inserts only the updated edge, which
-//! would leave `H(c)` missing every edge of `H(c')` and break queries with
-//! `τ ≤ c`; cloning is correct because no unaffected edge can have a
-//! component size strictly between `c` and `c'`.
+//! The list bookkeeping — retracting an affected edge's entries, then
+//! reaping, seeding and installing — lives in the crate-private
+//! `index::ranked` module, shared with the truss family of
+//! [`FamilySuite`](crate::FamilySuite); that module documents the paper
+//! deviation in seeding a fresh `H(c)` (DESIGN.md §4).
 
 use crate::index::build;
-use crate::index::ostree::{RankKey, ScoreTreap};
+use crate::index::ranked::RankedLists;
 use crate::ScoredEdge;
 use esd_graph::{DynamicGraph, Edge, Graph, VertexId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 pub mod batch;
 pub mod parallel;
@@ -210,10 +208,8 @@ pub struct MaintainedIndex {
     pub(crate) g: DynamicGraph,
     /// `M_uv` per edge (absent when the common neighbourhood is empty).
     pub(crate) forests: HashMap<u64, EdgeDsu>,
-    /// `H(c)` per size `c ∈ C`.
-    pub(crate) lists: BTreeMap<u32, ScoreTreap>,
-    /// `c -> number of edges whose C_uv contains c`. Keys are exactly `C`.
-    pub(crate) refcounts: BTreeMap<u32, usize>,
+    /// `H(c)` per size `c ∈ C`, fed each owned edge's `C_uv`.
+    pub(crate) ranked: RankedLists,
     /// The slice of the edge space this index maintains score state for.
     pub(crate) ownership: EdgeOwnership,
 }
@@ -254,55 +250,18 @@ impl MaintainedIndex {
             forests.insert(e.key(), dsu);
         }
 
-        let mut refcounts: BTreeMap<u32, usize> = BTreeMap::new();
-        for (eid, e) in g.edges().iter().enumerate() {
-            if !ownership.owns_key(e.key()) {
-                continue;
-            }
-            let mut sizes = artifacts.components.sizes_of(eid).to_vec();
-            sizes.dedup();
-            for s in sizes {
-                *refcounts.entry(s).or_insert(0) += 1;
-            }
-        }
-
-        let lists = if ownership == EdgeOwnership::ALL {
-            let csizes = build::distinct_sizes(&artifacts.components);
-            let mut treaps = vec![ScoreTreap::new(); csizes.len()];
-            build::fill_lists(
-                g.edges(),
-                &artifacts.components,
-                &csizes,
-                &mut treaps,
-                0..csizes.len(),
-            );
-            csizes.into_iter().zip(treaps).collect()
-        } else {
-            // Owned-only fill: `C` is the refcount key set; each owned edge
-            // joins every list `H(c)` with `c ≤ max(C_uv)` at the same
-            // score `restore_entries` would compute. Treap shapes depend
-            // only on their key sets, so this matches the incremental path.
-            let mut lists: BTreeMap<u32, ScoreTreap> =
-                refcounts.keys().map(|&c| (c, ScoreTreap::new())).collect();
-            for (eid, e) in g.edges().iter().enumerate() {
-                if !ownership.owns_key(e.key()) {
-                    continue;
-                }
-                let sizes = artifacts.components.sizes_of(eid);
-                let Some(&cmax) = sizes.last() else { continue };
-                for (&c, list) in lists.range_mut(..=cmax) {
-                    let score = (sizes.len() - sizes.partition_point(|&s| s < c)) as u32;
-                    list.insert(RankKey { score, edge: *e });
-                }
-            }
-            lists
-        };
+        let ranked = RankedLists::build(
+            g.edges()
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| ownership.owns_key(e.key()))
+                .map(|(eid, e)| (*e, artifacts.components.sizes_of(eid))),
+        );
 
         let index = Self {
             g: DynamicGraph::from_graph(g),
             forests,
-            lists,
-            refcounts,
+            ranked,
             ownership,
         };
         index.strict_audit();
@@ -322,14 +281,15 @@ impl MaintainedIndex {
 
     /// The current distinct component sizes `C`, ascending.
     pub fn component_sizes(&self) -> Vec<u32> {
-        self.refcounts.keys().copied().collect()
+        self.ranked.refcounts.keys().copied().collect()
     }
 
     /// Entry count of `H(c)`, if `c ∈ C`.
     pub fn list_len(&self, c: u32) -> Option<usize> {
-        self.lists
+        self.ranked
+            .lists
             .get(&c)
-            .map(super::index::ostree::ScoreTreap::len)
+            .map(crate::index::ostree::ScoreTreap::len)
     }
 
     /// Top-`k` edges at threshold `tau` (same contract as
@@ -337,10 +297,7 @@ impl MaintainedIndex {
     pub fn query(&self, k: usize, tau: u32) -> Vec<ScoredEdge> {
         assert!(tau >= 1, "component size threshold must be at least 1");
         let _span = esd_telemetry::span(esd_telemetry::Stage::QueryTopk);
-        match self.lists.range(tau..).next() {
-            Some((_, list)) => list.top_k(k),
-            None => Vec::new(),
-        }
+        self.ranked.top_k(k, tau)
     }
 
     /// Inserts `(u, v)` and repairs the index (Algorithm 4). Returns `false`
@@ -566,97 +523,30 @@ impl MaintainedIndex {
     /// Removes the affected edges' entries from every list and releases
     /// their size refcounts.
     fn retract_entries(&mut self, affected: &[u64]) {
-        let mut dead = Vec::new();
         let mut treap_removes = 0u64;
         for &key in affected {
-            let Some(forest) = self.forests.get(&key) else {
-                continue;
-            };
-            let sizes = forest.component_sizes();
-            let Some(&cmax) = sizes.last() else { continue };
-            let edge = Edge::from_key(key);
-            for (&c, list) in self.lists.range_mut(..=cmax) {
-                let score = (sizes.len() - sizes.partition_point(|&s| s < c)) as u32;
-                let removed = list.remove(&RankKey { score, edge });
-                treap_removes += 1;
-                debug_assert!(removed, "stale entry for {edge} in H({c})");
-            }
-            let mut distinct = sizes;
-            distinct.dedup();
-            for s in distinct {
-                let cnt = self.refcounts.get_mut(&s).expect("refcounted size");
-                *cnt -= 1;
-                if *cnt == 0 {
-                    dead.push(s);
-                }
+            if let Some(forest) = self.forests.get(&key) {
+                treap_removes += self
+                    .ranked
+                    .retract(Edge::from_key(key), &forest.component_sizes());
             }
         }
-        let _ = dead; // Dead sizes are reaped in `restore_entries`, after the
-                      // affected edges' new sizes are known (they may revive).
         esd_telemetry::add(esd_telemetry::Metric::TreapRemoves, treap_removes);
     }
 
     /// Re-inserts the affected edges with their new component sizes,
     /// creating/seeding new lists and dropping dead ones.
     fn restore_entries(&mut self, affected: &[u64]) {
-        // New sizes per affected edge; bump refcounts.
-        let mut new_sizes: Vec<(Edge, Vec<u32>)> = Vec::with_capacity(affected.len());
-        for &key in affected {
-            let sizes = self
-                .forests
-                .get(&key)
-                .map(EdgeDsu::component_sizes)
-                .unwrap_or_default();
-            let mut distinct = sizes.clone();
-            distinct.dedup();
-            for s in distinct {
-                *self.refcounts.entry(s).or_insert(0) += 1;
-            }
-            if !sizes.is_empty() {
-                new_sizes.push((Edge::from_key(key), sizes));
-            }
-        }
-
-        // Reap dead sizes and their whole lists.
-        let dead: Vec<u32> = self
-            .refcounts
+        let entries: Vec<(Edge, Vec<u32>)> = affected
             .iter()
-            .filter(|(_, &cnt)| cnt == 0)
-            .map(|(&c, _)| c)
+            .filter_map(|&key| {
+                let forest = self.forests.get(&key)?;
+                Some((Edge::from_key(key), forest.component_sizes()))
+            })
             .collect();
-        for c in dead {
-            self.refcounts.remove(&c);
-            self.lists.remove(&c);
-        }
-
-        // Create lists for brand-new sizes, largest first, each seeded from
-        // its successor (see the module docs for why this is required).
-        let fresh: Vec<u32> = self
-            .refcounts
-            .keys()
-            .rev()
-            .copied()
-            .filter(|c| !self.lists.contains_key(c))
-            .collect();
-        for c in fresh {
-            let seeded = match self.lists.range(c + 1..).next() {
-                Some((_, successor)) => successor.clone(),
-                None => ScoreTreap::new(),
-            };
-            self.lists.insert(c, seeded);
-        }
-
-        // Insert the affected edges into every applicable list.
-        let mut treap_inserts = 0u64;
-        for (edge, sizes) in new_sizes {
-            let cmax = *sizes.last().expect("non-empty");
-            for (&c, list) in self.lists.range_mut(..=cmax) {
-                let score = (sizes.len() - sizes.partition_point(|&s| s < c)) as u32;
-                let inserted = list.insert(RankKey { score, edge });
-                treap_inserts += 1;
-                debug_assert!(inserted, "duplicate entry for {edge} in H({c})");
-            }
-        }
+        let treap_inserts = self
+            .ranked
+            .restore(entries.iter().map(|(e, sizes)| (*e, sizes.as_slice())));
         esd_telemetry::add(esd_telemetry::Metric::TreapInserts, treap_inserts);
     }
 

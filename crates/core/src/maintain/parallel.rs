@@ -18,9 +18,8 @@
 //! 2. **Recompute** (parallel, `pbatch.recompute`): `std::thread::scope`
 //!    workers (the workspace is offline, so the same mechanism as the
 //!    parallel index build stands in for rayon) rebuild each owned edge's
-//!    forest from the *final* graph via the same
-//!    [`compute_forest`](super::compute_forest) kernel the sequential
-//!    rebuild path uses. This is a pure function of the post-batch
+//!    forest from the *final* graph via the same `compute_forest` kernel
+//!    the sequential rebuild path uses. This is a pure function of the post-batch
 //!    adjacency structure, so groups can proceed independently in any
 //!    order.
 //! 3. **Commit** (sequential, `pbatch.commit`): retract every affected

@@ -207,7 +207,7 @@ mod tests {
         for &(a, b) in unions {
             let (la, lb) = (label[a], label[b]);
             if la != lb {
-                for l in label.iter_mut() {
+                for l in &mut label {
                     if *l == lb {
                         *l = la;
                     }

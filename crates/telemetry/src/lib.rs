@@ -38,6 +38,12 @@ pub mod json;
 mod loom_models;
 pub(crate) mod sync;
 
+/// Registry tests and loom models share the process-global registry; each
+/// holds this lock so one test's `reset()` or snapshot window cannot race
+/// another's recording.
+#[cfg(all(test, feature = "enabled"))]
+static REGISTRY_LOCK: crate::sync::Mutex<()> = crate::sync::Mutex::new(());
+
 use json::Json;
 
 #[cfg(feature = "enabled")]
@@ -158,7 +164,8 @@ catalogue! {
         /// Query-family layer: one `FamilySuite::apply` window (blast-radius
         /// planning plus per-edge profile recompute for every family).
         FamilyApply => "family.apply",
-        /// Query-family layer: one `FamilySuite::query` top-k scan.
+        /// Query-family layer: one `FamilySuite::query` top-k walk of the
+        /// family's ranked list.
         FamilyQuery => "family.query",
     }
 }
@@ -227,7 +234,7 @@ catalogue! {
         /// Edges whose per-family score profiles `FamilySuite::apply`
         /// recomputed (owned, still-present edges in the blast radius).
         FamilyRecomputedEdges => "family.recomputed_edges",
-        /// Top-k scans served by `FamilySuite::query` (non-component
+        /// Top-k queries served by `FamilySuite::query` (non-component
         /// families only; component queries are counted by `query.topk`).
         FamilyQueries => "family.queries",
     }
@@ -595,16 +602,11 @@ mod tests {
         assert_eq!(counters[0].get("value").and_then(Json::as_u64), Some(42));
     }
 
-    // Registry tests share process-global state; each takes this lock so
-    // reset() from one test cannot clobber another's window.
-    #[cfg(feature = "enabled")]
-    static REGISTRY_LOCK: crate::sync::Mutex<()> = crate::sync::Mutex::new(());
-
     #[cfg(feature = "enabled")]
     mod enabled_behaviour {
         use super::super::*;
-        use super::REGISTRY_LOCK;
         use crate::sync::Unpoison;
+        use crate::REGISTRY_LOCK;
 
         #[test]
         fn spans_and_counters_record_and_reset() {

@@ -4,12 +4,17 @@
 //! feature (the registry statics do not otherwise exist). The registry is
 //! process-global and loom re-runs each model body many times, so every
 //! assertion is windowed through [`Snapshot::delta_since`] rather than
-//! absolute counter values.
+//! absolute counter values, and every model holds [`REGISTRY_LOCK`] so the
+//! crate's unit tests cannot record or reset inside its window.
+//!
+//! [`Snapshot::delta_since`]: crate::Snapshot::delta_since
 
-use crate::{add, snapshot, span, Metric, Stage};
+use crate::sync::Unpoison;
+use crate::{add, snapshot, span, Metric, Stage, REGISTRY_LOCK};
 
 #[test]
 fn counter_deltas_from_concurrent_writers_sum_exactly() {
+    let _guard = REGISTRY_LOCK.lock().unpoison();
     loom::model(|| {
         let before = snapshot();
         let t1 = loom::thread::spawn(|| {
@@ -33,6 +38,7 @@ fn counter_deltas_from_concurrent_writers_sum_exactly() {
 
 #[test]
 fn span_records_from_concurrent_threads_all_land() {
+    let _guard = REGISTRY_LOCK.lock().unpoison();
     loom::model(|| {
         let before = snapshot();
         let threads: Vec<_> = (0..2)

@@ -1,8 +1,8 @@
 //! `cargo xtask analyze` — the workspace's custom static-analysis gate.
 //!
-//! Runs six project-specific passes (see [`passes`]) over the first-party
+//! Runs six project-specific passes (see `passes`) over the first-party
 //! sources and exits non-zero when any invariant is violated. The passes
-//! are textual with lexical masking ([`scan`]) — the offline build
+//! are textual with lexical masking (`scan`) — the offline build
 //! environment has no `syn` — which is exact enough for the narrow,
 //! project-shaped properties they check.
 //!

@@ -425,7 +425,7 @@ fn zst_disarmed_in(file: &SourceFile) -> Vec<Finding> {
             b'{' | b'(' => {
                 let body_close = matching_close(&file.masked, delim).unwrap_or(delim);
                 let body = &file.masked[delim + 1..body_close];
-                let has_field = body.lines().any(|l| field_like(l));
+                let has_field = body.lines().any(field_like);
                 if has_field {
                     findings.push(Finding {
                         pass: "zst-disarmed",
